@@ -28,7 +28,7 @@ func main() {
 	// Variation sources: one global (inter-die) source every gate shares,
 	// plus a private random source per gate.
 	space := variation.NewSpace()
-	global := space.Add(variation.ClassInterDie, 1, "G")
+	global := space.Add(variation.ClassInterDie, "G")
 	rng := rand.New(rand.NewSource(7))
 
 	g := vabuf.NewTimingGraph()
@@ -45,7 +45,7 @@ func main() {
 				if rng.Float64() < 0.5 {
 					// Gate delay ~ N(nominal, 8% global + 5% random).
 					nominal := 20 + 15*rng.Float64()
-					private := space.Add(variation.ClassRandom, 1, "x")
+					private := space.Add(variation.ClassRandom, "x")
 					delay := variation.NewForm(nominal, []variation.Term{
 						{ID: global, Coef: 0.08 * nominal},
 						{ID: private, Coef: 0.05 * nominal},

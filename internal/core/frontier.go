@@ -52,18 +52,26 @@ type frontier struct {
 	ref []int32
 }
 
-// newFrontier returns an empty frontier with room for n candidates.
+// newFrontier returns an empty frontier with room for n candidates. The
+// float64 columns share one allocation, as do the two term columns; each
+// column is capped at n, so an append past it moves only that column.
 func newFrontier(n int, sigmas bool) *frontier {
+	nf := 2
+	if sigmas {
+		nf = 4
+	}
+	fs := make([]float64, nf*n)
+	ts := make([][]variation.Term, 2*n)
 	f := &frontier{
-		ln:  make([]float64, 0, n),
-		tn:  make([]float64, 0, n),
-		lt:  make([][]variation.Term, 0, n),
-		tt:  make([][]variation.Term, 0, n),
+		ln:  fs[0:0:n],
+		tn:  fs[n : n : 2*n],
+		lt:  ts[0:0:n],
+		tt:  ts[n : n : 2*n],
 		ref: make([]int32, 0, n),
 	}
 	if sigmas {
-		f.sl = make([]float64, 0, n)
-		f.st = make([]float64, 0, n)
+		f.sl = fs[2*n : 2*n : 3*n]
+		f.st = fs[3*n : 3*n : 4*n]
 	}
 	return f
 }

@@ -52,6 +52,7 @@ import (
 	"sort"
 
 	"vabuf/internal/rctree"
+	"vabuf/internal/variation"
 )
 
 // hullSafety is the relative slack on the pbar > 0.5 certainty test:
@@ -162,12 +163,12 @@ func (w *worker) hullExactMeans(id rctree.NodeID, pl polarityLists, n0 [2]int) p
 	hs := &w.hull
 	emitted := 0
 	for bi, b := range e.opts.Library {
-		// Materialize the device forms exactly as the exact path does, so
-		// the scan keys below are read from the very floats that will be
-		// pushed — no separately-computed mirror can drift.
-		cbForm := dev.ScaleIn(w.terms, b.Cb0).Shift(b.Cb0)
-		tbForm := dev.ScaleIn(w.terms, b.Tb0).Shift(b.Tb0)
-		cbn, tbn := cbForm.Nominal, tbForm.Nominal
+		// The scan keys are the device forms' nominals, which are exactly
+		// Cb0 and Tb0 (see deviceForms), so the forms themselves are
+		// materialized only once a (type, polarity) pair emits.
+		var cbForm, tbForm variation.Form
+		haveForms := false
+		cbn, tbn := b.Cb0, b.Tb0
 		nrb := -b.Rb
 		for p := 0; p < 2; p++ {
 			target := p
@@ -182,10 +183,10 @@ func (w *worker) hullExactMeans(id rctree.NodeID, pl polarityLists, n0 [2]int) p
 					continue
 				}
 				eligible++
-				// Mirrors the nominal arithmetic of SubIn + AXPYIn below:
+				// Mirrors the nominal arithmetic of SubAXPYIn below:
 				// tn + (-1)·tbn is bitwise tn − tbn, and the add-of-product
-				// shape matches AXPYIn's so any FMA contraction the compiler
-				// applies is applied to both.
+				// shape matches SubAXPYIn's so any FMA contraction the
+				// compiler applies is applied to both.
 				v := (src.tn[i] - tbn) + nrb*src.ln[i]
 				if best < 0 || v > bestV {
 					best, bestV = i, v
@@ -199,7 +200,11 @@ func (w *worker) hullExactMeans(id rctree.NodeID, pl polarityLists, n0 [2]int) p
 				continue
 			}
 			w.stats.HullSkipped += int64(eligible - 1)
-			nt := src.tform(best).SubIn(w.terms, tbForm).AXPYIn(w.terms, nrb, src.lform(best))
+			if !haveForms {
+				cbForm, tbForm = w.deviceForms(dev, b)
+				haveForms = true
+			}
+			nt := src.tform(best).SubAXPYIn(w.terms, tbForm, nrb, src.lform(best))
 			ref := w.prov.alloc(prov{pred: src.ref[best], pred2: -1, node: id, aux: int32(bi), op: opBuffer})
 			if out[target] == nil {
 				out[target] = newFrontier(n0[p], w.prn.needSigmas())
@@ -243,8 +248,7 @@ func (w *worker) hull2P(id rctree.NodeID, pl polarityLists) polarityLists {
 	zT := w.prn.zT
 	emitted := 0
 	for bi, b := range e.opts.Library {
-		cbForm := dev.ScaleIn(w.terms, b.Cb0).Shift(b.Cb0)
-		tbForm := dev.ScaleIn(w.terms, b.Tb0).Shift(b.Tb0)
+		cbForm, tbForm := w.deviceForms(dev, b)
 		tbn := tbForm.Nominal
 		nrb := -b.Rb
 		cbSigma := cbForm.Sigma(e.space) // the sigma push will cache
@@ -292,8 +296,7 @@ func (w *worker) hull2P(id rctree.NodeID, pl polarityLists) polarityLists {
 						continue
 					}
 				}
-				sT := src.tform(i)
-				nt := sT.SubIn(w.terms, tbForm).AXPYIn(w.terms, nrb, src.lform(i))
+				nt := src.tform(i).SubAXPYIn(w.terms, tbForm, nrb, src.lform(i))
 				ref := w.prov.alloc(prov{pred: src.ref[i], pred2: -1, node: id, aux: int32(bi), op: opBuffer})
 				if out[target] == nil {
 					out[target] = newFrontier(n0[p], w.prn.needSigmas())

@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"vabuf/internal/device"
 	"vabuf/internal/rctree"
 	"vabuf/internal/variation"
 )
@@ -391,11 +392,22 @@ func (w *worker) dpCompute(id rctree.NodeID) (polarityLists, error) {
 
 // leaf builds the sink frontier (eq. "L = CapLoad, T = RAT").
 func (w *worker) leaf(id rctree.NodeID, node *rctree.Node) *frontier {
-	f := newFrontier(1, w.prn.needSigmas())
+	f := newFrontier(1+w.bufferRoom(id), w.prn.needSigmas())
 	ref := w.prov.alloc(prov{pred: -1, pred2: -1, node: id, aux: -1, op: opLeaf})
 	f.push(variation.Const(node.CapLoad), variation.Const(node.RAT), ref, w.eng.space)
 	w.stats.Generated++
 	return f
+}
+
+// bufferRoom is the headroom a frontier needs when it reaches node id as
+// is: at a buffer site the hull kernel appends at most one candidate per
+// buffer type to each polarity list, and reserving that room up front
+// keeps the appends from regrowing all of the frontier's columns.
+func (w *worker) bufferRoom(id rctree.NodeID) int {
+	if w.eng.hull && w.eng.tree.Node(id).BufferOK {
+		return len(w.eng.opts.Library)
+	}
+	return 0
 }
 
 // wireUp propagates a candidate frontier along the edge child → parent
@@ -408,7 +420,11 @@ func (w *worker) wireUp(parent, child rctree.NodeID, f *frontier) *frontier {
 		return f
 	}
 	if len(w.eng.opts.WireLibrary) == 0 {
-		out := newFrontier(f.len(), w.prn.needSigmas())
+		room := f.len()
+		if len(w.eng.tree.Node(parent).Children) == 1 {
+			room += w.bufferRoom(parent) // the list reaches parent unmerged
+		}
+		out := newFrontier(room, w.prn.needSigmas())
 		w.wireChoice(out, child, f, w.eng.tree.Wire, -1)
 		return out
 	}
@@ -480,8 +496,7 @@ func (w *worker) addBuffersExact(id rctree.NodeID, node *rctree.Node, pl polarit
 	// same frontiers but must never be buffered again at this node.
 	n0 := [2]int{pl[0].len(), pl[1].len()}
 	for bi, b := range w.eng.opts.Library {
-		cbForm := dev.ScaleIn(w.terms, b.Cb0).Shift(b.Cb0)
-		tbForm := dev.ScaleIn(w.terms, b.Tb0).Shift(b.Tb0)
+		cbForm, tbForm := w.deviceForms(dev, b)
 		for p := 0; p < 2; p++ {
 			target := p
 			if b.Inverting {
@@ -494,8 +509,7 @@ func (w *worker) addBuffersExact(id rctree.NodeID, node *rctree.Node, pl polarit
 				if b.MaxLoad > 0 && src.ln[i] > b.MaxLoad {
 					continue
 				}
-				sT := src.tform(i)
-				nt := sT.SubIn(w.terms, tbForm).AXPYIn(w.terms, -b.Rb, src.lform(i))
+				nt := src.tform(i).SubAXPYIn(w.terms, tbForm, -b.Rb, src.lform(i))
 				ref := w.prov.alloc(prov{pred: src.ref[i], pred2: -1, node: id, aux: int32(bi), op: opBuffer})
 				if out[target] == nil {
 					out[target] = newFrontier(n0[p], w.prn.needSigmas())
@@ -506,6 +520,14 @@ func (w *worker) addBuffersExact(id rctree.NodeID, node *rctree.Node, pl polarit
 		}
 	}
 	return out
+}
+
+// deviceForms returns the input-capacitance and intrinsic-delay forms of
+// buffer type b at a site with deviation dev: C_b = Cb0·(1 + D) and
+// T_b = Tb0·(1 + D) (eq. 23–24). D has nominal 0, so their nominals are
+// exactly Cb0 and Tb0.
+func (w *worker) deviceForms(dev variation.Form, b device.BufferType) (cb, tb variation.Form) {
+	return dev.ScaleIn(w.terms, b.Cb0).Shift(b.Cb0), dev.ScaleIn(w.terms, b.Tb0).Shift(b.Tb0)
 }
 
 // checkBudget enforces the candidate cap.

@@ -144,7 +144,7 @@ func TestMergeStatisticalCorrelation(t *testing.T) {
 	// perfectly correlated equal-variance inputs, min is exactly the
 	// smaller input (no Clark penalty).
 	w := testWorker(Rule2P)
-	src := w.eng.space.Add(variation.ClassInterDie, 1, "G")
+	src := w.eng.space.Add(variation.ClassInterDie, "G")
 	a := newFrontier(1, false)
 	a.push(variation.Const(5),
 		variation.NewForm(-10, []variation.Term{{ID: src, Coef: 2}}), -1, w.eng.space)
@@ -162,11 +162,11 @@ func TestMergeStatisticalCorrelation(t *testing.T) {
 	// Independent inputs do get the Clark penalty (mean below both).
 	c := newFrontier(1, false)
 	c.push(variation.Const(5),
-		variation.NewForm(-10, []variation.Term{{ID: w.eng.space.Add(variation.ClassRandom, 1, "x"), Coef: 2}}),
+		variation.NewForm(-10, []variation.Term{{ID: w.eng.space.Add(variation.ClassRandom, "x"), Coef: 2}}),
 		-1, w.eng.space)
 	d := newFrontier(1, false)
 	d.push(variation.Const(5),
-		variation.NewForm(-10, []variation.Term{{ID: w.eng.space.Add(variation.ClassRandom, 1, "y"), Coef: 2}}),
+		variation.NewForm(-10, []variation.Term{{ID: w.eng.space.Add(variation.ClassRandom, "y"), Coef: 2}}),
 		-1, w.eng.space)
 	m2 := newFrontier(1, false)
 	w.mergeCand(m2, 0, c, 0, d, 0)

@@ -21,8 +21,8 @@ func mkFrontier(space *variation.Space, needSigmas bool, pairs ...[2]float64) *f
 // source.
 func pushStatCand(f *frontier, space *variation.Space, l, sl, t, st float64) {
 	f.push(
-		variation.NewForm(l, []variation.Term{{ID: space.Add(variation.ClassRandom, 1, "l"), Coef: sl}}),
-		variation.NewForm(t, []variation.Term{{ID: space.Add(variation.ClassRandom, 1, "t"), Coef: st}}),
+		variation.NewForm(l, []variation.Term{{ID: space.Add(variation.ClassRandom, "l"), Coef: sl}}),
+		variation.NewForm(t, []variation.Term{{ID: space.Add(variation.ClassRandom, "t"), Coef: st}}),
 		-1, space)
 }
 
@@ -174,7 +174,7 @@ func TestDominates2PMatchesDirectProbability(t *testing.T) {
 	space := variation.NewSpace()
 	nsrc := 6
 	for i := 0; i < nsrc; i++ {
-		space.Add(variation.ClassRandom, 1, "s")
+		space.Add(variation.ClassRandom, "s")
 	}
 	mkForms := func() (variation.Form, variation.Form) {
 		terms := func() []variation.Term {

@@ -14,7 +14,7 @@ func chainGraph(t *testing.T, seed int64) (*Graph, *variation.Space) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	space := variation.NewSpace()
-	shared := space.Add(variation.ClassInterDie, 1, "G")
+	shared := space.Add(variation.ClassInterDie, "G")
 	g := NewGraph()
 	const layers, width = 4, 3
 	prev := make([]PinID, width)
@@ -27,7 +27,7 @@ func chainGraph(t *testing.T, seed int64) (*Graph, *variation.Space) {
 			cur[i] = g.AddPin("")
 			for j := range prev {
 				if rng.Float64() < 0.7 {
-					priv := space.Add(variation.ClassRandom, 1, "x")
+					priv := space.Add(variation.ClassRandom, "x")
 					d := variation.NewForm(5+5*rng.Float64(), []variation.Term{
 						{ID: shared, Coef: 0.5},
 						{ID: priv, Coef: 0.5 + rng.Float64()},

@@ -154,7 +154,7 @@ func TestReconvergenceCorrelationHandled(t *testing.T) {
 	// correlated, so MAX(a, b) is exact with no Clark inflation and the
 	// arrival variance equals the branch variance.
 	space := variation.NewSpace()
-	src := space.Add(variation.ClassInterDie, 1, "G")
+	src := space.Add(variation.ClassInterDie, "G")
 	dShared := variation.NewForm(5, []variation.Term{{ID: src, Coef: 1}})
 	g, _, out := diamond(dShared, dShared, variation.Const(1), variation.Const(1))
 	res, err := Analyze(g, nil, nil, space)
@@ -174,7 +174,7 @@ func TestAnalyzeAgainstMonteCarlo(t *testing.T) {
 	// arrival moments at every output must match sampling.
 	rng := rand.New(rand.NewSource(3))
 	space := variation.NewSpace()
-	shared := space.Add(variation.ClassInterDie, 1, "G")
+	shared := space.Add(variation.ClassInterDie, "G")
 	g := NewGraph()
 	const layers, width = 5, 4
 	prev := make([]PinID, width)
@@ -187,7 +187,7 @@ func TestAnalyzeAgainstMonteCarlo(t *testing.T) {
 			cur[i] = g.AddPin("")
 			for j := range prev {
 				if rng.Float64() < 0.6 {
-					priv := space.Add(variation.ClassRandom, 1, "x")
+					priv := space.Add(variation.ClassRandom, "x")
 					d := variation.NewForm(5+5*rng.Float64(), []variation.Term{
 						{ID: shared, Coef: 0.5},
 						{ID: priv, Coef: 0.5 + rng.Float64()},
@@ -233,7 +233,7 @@ func TestEndpointCriticalitySumsToOne(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		o := g.AddPin("")
 		outs = append(outs, o)
-		priv := space.Add(variation.ClassRandom, 1, "x")
+		priv := space.Add(variation.ClassRandom, "x")
 		d := variation.NewForm(10+float64(i), []variation.Term{{ID: priv, Coef: 2}})
 		if err := g.AddArc(in, o, d); err != nil {
 			t.Fatal(err)

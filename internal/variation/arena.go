@@ -1,11 +1,6 @@
 package variation
 
-import (
-	"math"
-	"sync"
-
-	"vabuf/internal/stats"
-)
+import "sync"
 
 // arenaClasses are the slab size classes in terms. An arena grows
 // geometrically through the classes: the first slab is tiny (a handful of
@@ -62,10 +57,14 @@ type Arena struct {
 func NewArena() *Arena { return &Arena{} }
 
 // take reserves room for n terms and returns a zero-length slice with
-// capacity n. Appends within that capacity stay inside the slab.
+// capacity n. Appends within that capacity stay inside the slab. A nil
+// arena allocates from the heap.
 func (a *Arena) take(n int) []Term {
 	if n == 0 {
 		return nil
+	}
+	if a == nil {
+		return make([]Term, 0, n)
 	}
 	if a.off+n > len(a.cur) {
 		if n > arenaSlabTerms {
@@ -106,7 +105,9 @@ func (a *Arena) giveBack(n int) {
 // trim gives back the unused capacity of s, which must be the most recent
 // take, and returns s unchanged.
 func (a *Arena) trim(s []Term) []Term {
-	a.giveBack(cap(s) - len(s))
+	if a != nil {
+		a.giveBack(cap(s) - len(s))
+	}
 	return s
 }
 
@@ -158,42 +159,47 @@ func (f Form) AXPYIn(a *Arena, s float64, g Form) Form {
 	if s == 0 || len(g.Terms) == 0 {
 		return Form{Nominal: f.Nominal + s*g.Nominal, Terms: f.Terms}
 	}
-	terms := a.take(len(f.Terms) + len(g.Terms))
+	terms := axpyTerms(a.take(len(f.Terms)+len(g.Terms)), f.Terms, s, g.Terms)
+	return Form{Nominal: f.Nominal + s*g.Nominal, Terms: a.trim(terms)}
+}
+
+// axpyTerms appends the terms of f + s·g to dst, which must have room for
+// len(f) + len(g) terms, and returns it: the merge walk of AXPY.
+func axpyTerms(dst, f []Term, s float64, g []Term) []Term {
 	i, j := 0, 0
 	// Fast path: forms produced by the same DP node usually carry the
 	// same source set, so the two sorted lists align index-for-index.
 	// Walking the aligned prefix with one predictable branch per term
 	// computes exactly the shared-ID expression of the merge below.
-	for i < len(f.Terms) && i < len(g.Terms) && f.Terms[i].ID == g.Terms[i].ID {
-		if c := f.Terms[i].Coef + s*g.Terms[i].Coef; c != 0 {
-			terms = append(terms, Term{f.Terms[i].ID, c})
+	for i < len(f) && i < len(g) && f[i].ID == g[i].ID {
+		if c := f[i].Coef + s*g[i].Coef; c != 0 {
+			dst = append(dst, Term{f[i].ID, c})
 		}
 		i++
 	}
 	j = i
-	for i < len(f.Terms) && j < len(g.Terms) {
-		x, y := f.Terms[i], g.Terms[j]
+	for i < len(f) && j < len(g) {
+		x, y := f[i], g[j]
 		switch {
 		case x.ID < y.ID:
-			terms = append(terms, x)
+			dst = append(dst, x)
 			i++
 		case x.ID > y.ID:
-			terms = append(terms, Term{y.ID, s * y.Coef})
+			dst = append(dst, Term{y.ID, s * y.Coef})
 			j++
 		default:
 			if c := x.Coef + s*y.Coef; c != 0 {
-				terms = append(terms, Term{x.ID, c})
+				dst = append(dst, Term{x.ID, c})
 			}
 			i++
 			j++
 		}
 	}
-	terms = append(terms, f.Terms[i:]...)
-	for ; j < len(g.Terms); j++ {
-		terms = append(terms, Term{g.Terms[j].ID, s * g.Terms[j].Coef})
+	dst = append(dst, f[i:]...)
+	for ; j < len(g); j++ {
+		dst = append(dst, Term{g[j].ID, s * g[j].Coef})
 	}
-	terms = a.trim(terms)
-	return Form{Nominal: f.Nominal + s*g.Nominal, Terms: terms}
+	return dst
 }
 
 // AddIn returns f + g with arena-backed terms.
@@ -217,144 +223,29 @@ func (f Form) ScaleIn(a *Arena, s float64) Form {
 	return Form{Nominal: s * f.Nominal, Terms: terms}
 }
 
-// blendIn computes tf·f + tg·g in one merge pass, replicating the exact
-// floating-point behaviour of f.Scale(tf).Add(g.Scale(tg)): a zero blend
-// weight drops that side entirely (Scale(0) returns the empty form), and
-// only coefficients that cancel on shared sources are dropped. The result
-// terms always come from the arena (never aliased), so callers may rescale
-// them in place.
-func blendIn(a *Arena, tf float64, f Form, tg float64, g Form) Form {
-	fts, gts := f.Terms, g.Terms
-	if tf == 0 {
-		fts = nil
+// SubAXPYIn returns (f − g) + s·h with arena-backed terms, the buffer
+// step T − T_b − R_b·L of eq. 35–36. A nil arena falls back to the heap.
+// It is bitwise f.SubIn(a, g).AXPYIn(a, s, h) — the same two merge walks —
+// but the intermediate f − g lives in the tail of the result's own arena
+// block and is given back with it, so the arena keeps only the result.
+// (A single three-way walk was tried and ran slower on the buffer steps
+// of WID runs on amd64: its three-way next-ID choice cost more than the
+// second pass it saved.)
+func (f Form) SubAXPYIn(a *Arena, g Form, s float64, h Form) Form {
+	switch {
+	case a == nil:
+		return f.Sub(g).AXPY(s, h)
+	case len(g.Terms) == 0 || s == 0 || len(h.Terms) == 0:
+		return f.SubIn(a, g).AXPYIn(a, s, h)
 	}
-	if tg == 0 {
-		gts = nil
+	nx := len(f.Terms) + len(g.Terms)
+	nr := nx + len(h.Terms)
+	block := a.take(nr + nx)
+	x := axpyTerms(block[nr:nr], f.Terms, -1, g.Terms)
+	terms := axpyTerms(block[:0:nr], x, s, h.Terms)
+	a.giveBack(nr + nx - len(terms))
+	return Form{
+		Nominal: (f.Nominal + -1*g.Nominal) + s*h.Nominal,
+		Terms:   terms,
 	}
-	terms := a.take(len(fts) + len(gts))
-	i, j := 0, 0
-	// Aligned-prefix fast path; see AXPYIn.
-	for i < len(fts) && i < len(gts) && fts[i].ID == gts[i].ID {
-		if c := (tf * fts[i].Coef) + (tg * gts[i].Coef); c != 0 {
-			terms = append(terms, Term{fts[i].ID, c})
-		}
-		i++
-	}
-	j = i
-	for i < len(fts) && j < len(gts) {
-		x, y := fts[i], gts[j]
-		switch {
-		case x.ID < y.ID:
-			terms = append(terms, Term{x.ID, tf * x.Coef})
-			i++
-		case x.ID > y.ID:
-			terms = append(terms, Term{y.ID, tg * y.Coef})
-			j++
-		default:
-			if c := (tf * x.Coef) + (tg * y.Coef); c != 0 {
-				terms = append(terms, Term{x.ID, c})
-			}
-			i++
-			j++
-		}
-	}
-	for ; i < len(fts); i++ {
-		terms = append(terms, Term{fts[i].ID, tf * fts[i].Coef})
-	}
-	for ; j < len(gts); j++ {
-		terms = append(terms, Term{gts[j].ID, tg * gts[j].Coef})
-	}
-	terms = a.trim(terms)
-	nominal := 0.0
-	if tf != 0 {
-		nominal += tf * f.Nominal
-	}
-	if tg != 0 {
-		nominal += tg * g.Nominal
-	}
-	return Form{Nominal: nominal, Terms: terms}
-}
-
-// varDiffOrdered accumulates Var(f - g) walking both sorted term lists in
-// merged ID order — the same coefficient expressions and summation order
-// as f.Sub(g).Var(space), with no allocation.
-func varDiffOrdered(f, g Form, space *Space) float64 {
-	v := 0.0
-	acc := func(id SourceID, c float64) {
-		if c != 0 {
-			s := space.Sigma(id)
-			v += c * c * s * s
-		}
-	}
-	i, j := 0, 0
-	// Aligned-prefix fast path; see AXPYIn.
-	for i < len(f.Terms) && i < len(g.Terms) && f.Terms[i].ID == g.Terms[i].ID {
-		acc(f.Terms[i].ID, f.Terms[i].Coef+-1*g.Terms[i].Coef)
-		i++
-	}
-	j = i
-	for i < len(f.Terms) && j < len(g.Terms) {
-		x, y := f.Terms[i], g.Terms[j]
-		switch {
-		case x.ID < y.ID:
-			acc(x.ID, x.Coef)
-			i++
-		case x.ID > y.ID:
-			acc(y.ID, -1*y.Coef)
-			j++
-		default:
-			acc(x.ID, x.Coef+-1*y.Coef)
-			i++
-			j++
-		}
-	}
-	for ; i < len(f.Terms); i++ {
-		acc(f.Terms[i].ID, f.Terms[i].Coef)
-	}
-	for ; j < len(g.Terms); j++ {
-		acc(g.Terms[j].ID, -1*g.Terms[j].Coef)
-	}
-	return v
-}
-
-// MinIn is Min with every intermediate and the result borrowed from the
-// arena. A nil arena falls back to Min. The numerical result is
-// bit-identical to Min.
-func MinIn(a *Arena, f, g Form, space *Space) MinResult {
-	if a == nil {
-		return Min(f, g, space)
-	}
-	sd := math.Sqrt(varDiffOrdered(f, g, space))
-	if sd == 0 {
-		// The difference is deterministic: min is exactly one of the inputs.
-		m := stats.MinMoments{SigmaDiff: 0}
-		if f.Nominal <= g.Nominal {
-			if f.Nominal == g.Nominal {
-				m.Tightness = 0.5
-			} else {
-				m.Tightness = 1
-			}
-			m.Mean = f.Nominal
-			m.Var = f.Var(space)
-			return MinResult{Form: f, Moments: m}
-		}
-		m.Tightness = 0
-		m.Mean = g.Nominal
-		m.Var = g.Var(space)
-		return MinResult{Form: g, Moments: m}
-	}
-	sf := f.Sigma(space)
-	sg := g.Sigma(space)
-	rho := Corr(f, g, space)
-	mom := stats.MinNormals(f.Nominal, sf, g.Nominal, sg, rho)
-	t := mom.Tightness
-	blended := blendIn(a, t, f, 1-t, g)
-	blended.Nominal = mom.Mean
-	if vb := blended.Var(space); vb > 0 && mom.Var > 0 {
-		s := math.Sqrt(mom.Var / vb)
-		for i := range blended.Terms {
-			blended.Terms[i].Coef *= s
-		}
-	}
-	return MinResult{Form: blended, Moments: mom}
 }

@@ -91,39 +91,17 @@ func (f Form) AXPY(s float64, g Form) Form {
 	if s == 0 || len(g.Terms) == 0 {
 		return Form{Nominal: f.Nominal + s*g.Nominal, Terms: f.Terms}
 	}
-	terms := make([]Term, 0, len(f.Terms)+len(g.Terms))
-	i, j := 0, 0
-	for i < len(f.Terms) && j < len(g.Terms) {
-		a, b := f.Terms[i], g.Terms[j]
-		switch {
-		case a.ID < b.ID:
-			terms = append(terms, a)
-			i++
-		case a.ID > b.ID:
-			terms = append(terms, Term{b.ID, s * b.Coef})
-			j++
-		default:
-			if c := a.Coef + s*b.Coef; c != 0 {
-				terms = append(terms, Term{a.ID, c})
-			}
-			i++
-			j++
-		}
-	}
-	terms = append(terms, f.Terms[i:]...)
-	for ; j < len(g.Terms); j++ {
-		terms = append(terms, Term{g.Terms[j].ID, s * g.Terms[j].Coef})
-	}
+	terms := axpyTerms(make([]Term, 0, len(f.Terms)+len(g.Terms)), f.Terms, s, g.Terms)
 	return Form{Nominal: f.Nominal + s*g.Nominal, Terms: terms}
 }
 
-// Var returns the variance of the form under space: Σ coef²·sigma²
-// (eq. 41–42).
+// Var returns the variance of the form, Σ coef² over its unit-normal
+// sources (eq. 41–42). space names the registry the term IDs index; the
+// unit-normal contract means no per-source value is read from it.
 func (f Form) Var(space *Space) float64 {
 	v := 0.0
 	for _, t := range f.Terms {
-		s := space.Sigma(t.ID)
-		v += t.Coef * t.Coef * s * s
+		v += t.Coef * t.Coef
 	}
 	return v
 }
@@ -131,8 +109,8 @@ func (f Form) Var(space *Space) float64 {
 // Sigma returns the standard deviation of the form under space.
 func (f Form) Sigma(space *Space) float64 { return math.Sqrt(f.Var(space)) }
 
-// Cov returns the covariance of f and g under space: Σ over shared sources
-// of coef_f·coef_g·sigma² (the numerator of eq. 43).
+// Cov returns the covariance of f and g: Σ over shared sources of
+// coef_f·coef_g (the numerator of eq. 43).
 func Cov(f, g Form, space *Space) float64 {
 	c := 0.0
 	i, j := 0, 0
@@ -144,8 +122,7 @@ func Cov(f, g Form, space *Space) float64 {
 		case a.ID > b.ID:
 			j++
 		default:
-			s := space.Sigma(a.ID)
-			c += a.Coef * b.Coef * s * s
+			c += a.Coef * b.Coef
 			i++
 			j++
 		}
@@ -156,14 +133,8 @@ func Cov(f, g Form, space *Space) float64 {
 // Corr returns the correlation coefficient of f and g (eq. 43). It is 0
 // when either form is deterministic.
 func Corr(f, g Form, space *Space) float64 {
-	sf := f.Sigma(space)
-	sg := g.Sigma(space)
-	if sf == 0 || sg == 0 {
-		return 0
-	}
-	rho := Cov(f, g, space) / (sf * sg)
-	// Clamp tiny numerical excursions outside [-1, 1].
-	return math.Max(-1, math.Min(1, rho))
+	m := pairMomentsOf(f, g)
+	return m.corr(math.Sqrt(m.vf), math.Sqrt(m.vg))
 }
 
 // SigmaDiff returns the standard deviation of f - g computed directly from
@@ -178,32 +149,100 @@ func SigmaDiff(f, g Form, space *Space) float64 {
 		a, b := f.Terms[i], g.Terms[j]
 		switch {
 		case a.ID < b.ID:
-			s := space.Sigma(a.ID)
-			v += a.Coef * a.Coef * s * s
+			v += a.Coef * a.Coef
 			i++
 		case a.ID > b.ID:
-			s := space.Sigma(b.ID)
-			v += b.Coef * b.Coef * s * s
+			v += b.Coef * b.Coef
 			j++
 		default:
 			c := a.Coef - b.Coef
-			s := space.Sigma(a.ID)
-			v += c * c * s * s
+			v += c * c
 			i++
 			j++
 		}
 	}
 	for ; i < len(f.Terms); i++ {
-		t := f.Terms[i]
-		s := space.Sigma(t.ID)
-		v += t.Coef * t.Coef * s * s
+		c := f.Terms[i].Coef
+		v += c * c
 	}
 	for ; j < len(g.Terms); j++ {
-		t := g.Terms[j]
-		s := space.Sigma(t.ID)
-		v += t.Coef * t.Coef * s * s
+		c := g.Terms[j].Coef
+		v += c * c
 	}
 	return math.Sqrt(v)
+}
+
+// pairMoments are the second moments of two forms over their unit-normal
+// sources.
+type pairMoments struct {
+	vf, vg float64 // Var(f), Var(g)
+	cov    float64 // Cov(f, g)
+	vd     float64 // Var(f − g)
+}
+
+// pairMomentsOf computes all four second moments of f and g in one merge
+// walk. Each sum has its own accumulator and receives its terms in the
+// order a standalone pass would add them — Var(f) in f's order, Var(g) in
+// g's, Cov over shared IDs and Var(f − g) over the merged ID order — so
+// each value is bitwise what Var, Cov and SigmaDiff (before its square
+// root) compute alone.
+func pairMomentsOf(f, g Form) pairMoments {
+	var m pairMoments
+	ft, gt := f.Terms, g.Terms
+	i := 0
+	// Aligned-prefix fast path; see axpyTerms.
+	for ; i < len(ft) && i < len(gt) && ft[i].ID == gt[i].ID; i++ {
+		x, y := ft[i].Coef, gt[i].Coef
+		d := x - y
+		m.vf += x * x
+		m.vg += y * y
+		m.cov += x * y
+		m.vd += d * d
+	}
+	j := i
+	for i < len(ft) && j < len(gt) {
+		x, y := ft[i], gt[j]
+		switch {
+		case x.ID < y.ID:
+			m.vf += x.Coef * x.Coef
+			m.vd += x.Coef * x.Coef
+			i++
+		case x.ID > y.ID:
+			m.vg += y.Coef * y.Coef
+			m.vd += y.Coef * y.Coef
+			j++
+		default:
+			d := x.Coef - y.Coef
+			m.vf += x.Coef * x.Coef
+			m.vg += y.Coef * y.Coef
+			m.cov += x.Coef * y.Coef
+			m.vd += d * d
+			i++
+			j++
+		}
+	}
+	for ; i < len(ft); i++ {
+		c := ft[i].Coef
+		m.vf += c * c
+		m.vd += c * c
+	}
+	for ; j < len(gt); j++ {
+		c := gt[j].Coef
+		m.vg += c * c
+		m.vd += c * c
+	}
+	return m
+}
+
+// corr is the correlation coefficient from the moments and the two
+// standard deviations sf = √vf, sg = √vg: 0 when either side is
+// deterministic, clamped to [-1, 1] against rounding excursions.
+func (m pairMoments) corr(sf, sg float64) float64 {
+	if sf == 0 || sg == 0 {
+		return 0
+	}
+	rho := m.cov / (sf * sg)
+	return math.Max(-1, math.Min(1, rho))
 }
 
 // ProbGreater returns P(f > g) under the joint normal interpretation of
@@ -252,48 +291,110 @@ type MinResult struct {
 
 // Min computes the statistical minimum of two forms (eq. 38–40), keeping
 // the result in canonical first-order shape. When one input is smaller
-// with certainty the exact input form is returned unchanged.
-func Min(f, g Form, space *Space) MinResult {
-	sd := SigmaDiff(f, g, space)
-	if sd == 0 {
+// with certainty the exact input form is returned unchanged. The result
+// terms live on the heap; MinIn is the same operation with arena storage.
+func Min(f, g Form, space *Space) MinResult { return MinIn(nil, f, g, space) }
+
+// MinIn is the statistical MIN with the result terms borrowed from the
+// arena (the heap when a is nil). One merge walk yields Var(f), Var(g),
+// Cov(f, g) and Var(f − g); one blend walk emits the tightness-weighted
+// terms and their Σc²; a last pass rescales them in place.
+func MinIn(a *Arena, f, g Form, space *Space) MinResult {
+	m := pairMomentsOf(f, g)
+	if m.vd == 0 {
 		// The difference is deterministic: min is exactly one of the inputs.
-		m := stats.MinMoments{SigmaDiff: 0}
+		mom := stats.MinMoments{SigmaDiff: 0}
 		if f.Nominal <= g.Nominal {
 			if f.Nominal == g.Nominal {
-				m.Tightness = 0.5
+				mom.Tightness = 0.5
 			} else {
-				m.Tightness = 1
+				mom.Tightness = 1
 			}
-			m.Mean = f.Nominal
-			m.Var = f.Var(space)
-			return MinResult{Form: f, Moments: m}
+			mom.Mean = f.Nominal
+			mom.Var = m.vf
+			return MinResult{Form: f, Moments: mom}
 		}
-		m.Tightness = 0
-		m.Mean = g.Nominal
-		m.Var = g.Var(space)
-		return MinResult{Form: g, Moments: m}
+		mom.Tightness = 0
+		mom.Mean = g.Nominal
+		mom.Var = m.vg
+		return MinResult{Form: g, Moments: mom}
 	}
-	sf := f.Sigma(space)
-	sg := g.Sigma(space)
-	rho := Corr(f, g, space)
-	mom := stats.MinNormals(f.Nominal, sf, g.Nominal, sg, rho)
+	sf := math.Sqrt(m.vf)
+	sg := math.Sqrt(m.vg)
+	mom := stats.MinNormals(f.Nominal, sf, g.Nominal, sg, m.corr(sf, sg))
 	t := mom.Tightness
 	// Blend sensitivities: t·beta_f + (1-t)·beta_g (eq. 38), then set the
 	// nominal to Clark's exact mean (the -sigma·phi(...) correction).
-	blended := f.Scale(t).Add(g.Scale(1 - t))
+	blended, vb := blendIn(a, t, f, 1-t, g)
 	blended.Nominal = mom.Mean
 	// Moment matching: the tightness blend preserves the mean but
 	// understates the variance of the min; rescale the sensitivities so
 	// the form carries Clark's exact second moment while keeping the
-	// blended correlation structure. (Both Scale and Add allocated fresh
-	// term storage, so the in-place rescale cannot alias the inputs.)
-	if vb := blended.Var(space); vb > 0 && mom.Var > 0 {
+	// blended correlation structure. The blended terms are freshly
+	// allocated, so the in-place rescale cannot alias the inputs.
+	if vb > 0 && mom.Var > 0 {
 		s := math.Sqrt(mom.Var / vb)
 		for i := range blended.Terms {
 			blended.Terms[i].Coef *= s
 		}
 	}
 	return MinResult{Form: blended, Moments: mom}
+}
+
+// blendIn computes the terms of tf·f + tg·g in one merge pass and returns
+// them with their variance Σc², summed in term order as they are emitted
+// (the caller sets the nominal). The terms replicate the exact
+// floating-point behaviour of f.Scale(tf).Add(g.Scale(tg)): a zero blend
+// weight drops that side entirely (Scale(0) returns the empty form), and
+// only coefficients that cancel on shared sources are dropped. The result
+// terms always come from the arena or, with a nil arena, the heap (never
+// aliased), so callers may rescale them in place.
+func blendIn(a *Arena, tf float64, f Form, tg float64, g Form) (Form, float64) {
+	fts, gts := f.Terms, g.Terms
+	if tf == 0 {
+		fts = nil
+	}
+	if tg == 0 {
+		gts = nil
+	}
+	terms := a.take(len(fts) + len(gts))
+	v := 0.0
+	emit := func(id SourceID, c float64) {
+		terms = append(terms, Term{id, c})
+		v += c * c
+	}
+	i := 0
+	// Aligned-prefix fast path; see axpyTerms.
+	for ; i < len(fts) && i < len(gts) && fts[i].ID == gts[i].ID; i++ {
+		if c := (tf * fts[i].Coef) + (tg * gts[i].Coef); c != 0 {
+			emit(fts[i].ID, c)
+		}
+	}
+	j := i
+	for i < len(fts) && j < len(gts) {
+		x, y := fts[i], gts[j]
+		switch {
+		case x.ID < y.ID:
+			emit(x.ID, tf*x.Coef)
+			i++
+		case x.ID > y.ID:
+			emit(y.ID, tg*y.Coef)
+			j++
+		default:
+			if c := (tf * x.Coef) + (tg * y.Coef); c != 0 {
+				emit(x.ID, c)
+			}
+			i++
+			j++
+		}
+	}
+	for ; i < len(fts); i++ {
+		emit(fts[i].ID, tf*fts[i].Coef)
+	}
+	for ; j < len(gts); j++ {
+		emit(gts[j].ID, tg*gts[j].Coef)
+	}
+	return Form{Terms: a.trim(terms)}, v
 }
 
 // Max computes the statistical maximum of two forms, mirroring Min via

@@ -13,7 +13,7 @@ import (
 func testSpace(n int) *Space {
 	s := NewSpace()
 	for i := 0; i < n; i++ {
-		s.Add(ClassRandom, 1, "x")
+		s.Add(ClassRandom, "x")
 	}
 	return s
 }
@@ -134,14 +134,16 @@ func TestFormAlgebraProperties(t *testing.T) {
 }
 
 func TestVarCovCorr(t *testing.T) {
+	// Sources are unit normal; the coefficients carry scales of 2 (on a)
+	// and 3 (on b).
 	space := NewSpace()
-	a := space.Add(ClassRandom, 2, "a") // sigma 2
-	b := space.Add(ClassRandom, 3, "b") // sigma 3
-	f := NewForm(0, []Term{{a, 1}, {b, 1}})
+	a := space.Add(ClassRandom, "a")
+	b := space.Add(ClassRandom, "b")
+	f := NewForm(0, []Term{{a, 2}, {b, 3}})
 	if v := f.Var(space); math.Abs(v-13) > 1e-12 {
 		t.Errorf("Var = %g, want 13", v)
 	}
-	g := NewForm(0, []Term{{a, 2}})
+	g := NewForm(0, []Term{{a, 4}})
 	if c := Cov(f, g, space); math.Abs(c-8) > 1e-12 {
 		t.Errorf("Cov = %g, want 8", c)
 	}
@@ -149,8 +151,8 @@ func TestVarCovCorr(t *testing.T) {
 	if r := Corr(f, f, space); math.Abs(r-1) > 1e-12 {
 		t.Errorf("self Corr = %g", r)
 	}
-	h := NewForm(0, []Term{{b, 5}})
-	gOnlyA := NewForm(0, []Term{{a, 1}})
+	h := NewForm(0, []Term{{b, 15}})
+	gOnlyA := NewForm(0, []Term{{a, 2}})
 	if r := Corr(gOnlyA, h, space); r != 0 {
 		t.Errorf("disjoint Corr = %g", r)
 	}

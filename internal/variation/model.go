@@ -103,11 +103,11 @@ func NewModel(cfg ModelConfig) (*Model, error) {
 		stencil: make(map[int][]Term),
 		token:   modelTokens.Add(1),
 	}
-	m.interDie = m.Space.Add(ClassInterDie, 1, "G")
+	m.interDie = m.Space.Add(ClassInterDie, "G")
 	if cfg.SpatialFrac > 0 {
 		m.spatial = make([]SourceID, grid.NumCells())
 		for i := range m.spatial {
-			m.spatial[i] = m.Space.Add(ClassSpatial, 1, fmt.Sprintf("Y%d", i))
+			m.spatial[i] = m.Space.Add(ClassSpatial, fmt.Sprintf("Y%d", i))
 		}
 	}
 	return m, nil
@@ -126,7 +126,7 @@ func (m *Model) RandomSourceFor(siteKey int) SourceID {
 	if id, ok := m.random[siteKey]; ok {
 		return id
 	}
-	id := m.Space.Add(ClassRandom, 1, fmt.Sprintf("X@%d", siteKey))
+	id := m.Space.Add(ClassRandom, fmt.Sprintf("X@%d", siteKey))
 	m.random[siteKey] = id
 	return id
 }
@@ -186,24 +186,34 @@ func (m *Model) spatialStencil(cell int) []Term {
 // characteristic then becomes nominal·(1 + D) per eq. 23–24. siteKey must
 // be stable per physical location so identical sites share their random
 // source across candidate solutions.
+//
+// The terms are emitted already in canonical order, so no sort is needed:
+// NewModel allocates the inter-die source first (ID 0) and then one
+// spatial source per grid cell in cell-index order, the stencil lists its
+// cells in row-major (ascending) order, and per-site random sources are
+// allocated lazily after all of them.
 func (m *Model) Deviation(siteKey int, loc geom.Point) Form {
-	terms := make([]Term, 0, 16)
-	if f := m.Config.RandomFrac; f > 0 {
-		terms = append(terms, Term{ID: m.RandomSourceFor(siteKey), Coef: f})
-	}
+	var stencil []Term
+	sig := 0.0
 	if m.Config.SpatialFrac > 0 {
-		sig := m.spatialSigmaAt(loc)
-		if sig > 0 {
-			cell := m.Grid.CellIndex(loc)
-			for _, t := range m.spatialStencil(cell) {
-				terms = append(terms, Term{ID: t.ID, Coef: sig * t.Coef})
-			}
+		if sig = m.spatialSigmaAt(loc); sig > 0 {
+			stencil = m.spatialStencil(m.Grid.CellIndex(loc))
 		}
 	}
+	terms := make([]Term, 0, len(stencil)+2)
 	if f := m.Config.InterDieFrac; f > 0 {
 		terms = append(terms, Term{ID: m.interDie, Coef: f})
 	}
-	return NewForm(0, terms)
+	for _, t := range stencil {
+		// Drop coefficients that underflow, as NewForm would.
+		if c := sig * t.Coef; c != 0 {
+			terms = append(terms, Term{ID: t.ID, Coef: c})
+		}
+	}
+	if f := m.Config.RandomFrac; f > 0 {
+		terms = append(terms, Term{ID: m.RandomSourceFor(siteKey), Coef: f})
+	}
+	return Form{Terms: terms}
 }
 
 // TotalFracAt returns the combined 1-sigma relative budget at loc,

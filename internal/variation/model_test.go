@@ -204,3 +204,69 @@ func TestDefaultsFilledIn(t *testing.T) {
 		t.Errorf("defaults not applied: %+v", m.Config)
 	}
 }
+
+// TestDeviationIsCanonical pins Deviation's direct emission to the form
+// NewForm builds from the same terms in allocation-agnostic order: IDs
+// strictly ascending, bitwise the same coefficients, no zero terms.
+func TestDeviationIsCanonical(t *testing.T) {
+	homog := DefaultConfig(die10mm())
+	hetero := homog
+	hetero.Heterogeneous = true
+	noSpatial := homog
+	noSpatial.SpatialFrac = 0
+	noRandom := homog
+	noRandom.RandomFrac = 0
+	configs := map[string]ModelConfig{
+		"homogeneous":   homog,
+		"heterogeneous": hetero,
+		"spatial off":   noSpatial,
+		"random off":    noRandom,
+	}
+	sites := []geom.Point{
+		{X: 0, Y: 0}, {X: 100, Y: 100}, {X: 5000, Y: 5000}, {X: 2600, Y: 7400},
+		{X: 9999, Y: 0}, {X: 0, Y: 9999}, {X: 9999, Y: 9999}, {X: 4750, Y: 250},
+	}
+	for name, cfg := range configs {
+		m, err := NewModel(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Allocate a random source early so a later site reuses a low ID.
+		m.RandomSourceFor(1000)
+		for k, loc := range append(sites, geom.Point{X: 3000, Y: 3000}) {
+			key := k
+			if k == len(sites) {
+				key = 1000
+			}
+			d := m.Deviation(key, loc)
+			for i := 1; i < len(d.Terms); i++ {
+				if d.Terms[i-1].ID >= d.Terms[i].ID {
+					t.Fatalf("%s site %d: IDs not ascending at %d: %v", name, key, i, d.Terms)
+				}
+			}
+			// The reference appends the classes in the opposite order and
+			// leaves sorting and zero-dropping to NewForm.
+			var terms []Term
+			if f := cfg.RandomFrac; f > 0 {
+				terms = append(terms, Term{m.RandomSourceFor(key), f})
+			}
+			if sig := m.spatialSigmaAt(loc); cfg.SpatialFrac > 0 && sig > 0 {
+				for _, st := range m.spatialStencil(m.Grid.CellIndex(loc)) {
+					terms = append(terms, Term{st.ID, sig * st.Coef})
+				}
+			}
+			if f := cfg.InterDieFrac; f > 0 {
+				terms = append(terms, Term{m.InterDieSource(), f})
+			}
+			want := NewForm(0, terms)
+			if math.Float64bits(d.Nominal) != math.Float64bits(want.Nominal) || len(d.Terms) != len(want.Terms) {
+				t.Fatalf("%s site %d: got %v, want %v", name, key, d, want)
+			}
+			for i := range d.Terms {
+				if d.Terms[i].ID != want.Terms[i].ID || math.Float64bits(d.Terms[i].Coef) != math.Float64bits(want.Terms[i].Coef) {
+					t.Fatalf("%s site %d: term %d = %v, want %v", name, key, i, d.Terms[i], want.Terms[i])
+				}
+			}
+		}
+	}
+}

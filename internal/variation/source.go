@@ -6,6 +6,12 @@
 // the statistical operations the buffer-insertion DP needs: variance,
 // covariance, correlation, the tightness-probability MIN (eq. 38–40), and
 // Monte-Carlo sampling.
+//
+// Every source is a standard normal N(0, 1) by contract; a form's
+// coefficients carry all of the scaling. A source of standard deviation σ
+// is therefore written as the coefficient σ·c on a unit source. This keeps
+// the statistics pure functions of the term lists — Var is Σ c², Cov is
+// Σ cᵢ·cⱼ over shared sources — with no per-source lookup in any kernel.
 package variation
 
 import (
@@ -44,13 +50,10 @@ func (c Class) String() string {
 	}
 }
 
-// Source is one independent normally distributed variation variable.
+// Source is one independent standard-normal variation variable.
 type Source struct {
 	ID    SourceID
 	Class Class
-	// Sigma is the standard deviation of the source. All model-allocated
-	// sources are unit normal; coefficients carry the scaling.
-	Sigma float64
 	// Label is a short human-readable description (for debugging output).
 	Label string
 }
@@ -65,13 +68,10 @@ type Space struct {
 // NewSpace returns an empty source registry.
 func NewSpace() *Space { return &Space{} }
 
-// Add registers a new independent source and returns its ID.
-func (s *Space) Add(class Class, sigma float64, label string) SourceID {
-	if sigma < 0 {
-		panic(fmt.Sprintf("variation: negative sigma %g for source %q", sigma, label))
-	}
+// Add registers a new independent unit-normal source and returns its ID.
+func (s *Space) Add(class Class, label string) SourceID {
 	id := SourceID(len(s.sources))
-	s.sources = append(s.sources, Source{ID: id, Class: class, Sigma: sigma, Label: label})
+	s.sources = append(s.sources, Source{ID: id, Class: class, Label: label})
 	return id
 }
 
@@ -83,9 +83,6 @@ func (s *Space) Source(id SourceID) Source {
 	return s.sources[id]
 }
 
-// Sigma returns the standard deviation of source id.
-func (s *Space) Sigma(id SourceID) float64 { return s.sources[id].Sigma }
-
 // CountByClass returns how many sources belong to each class.
 func (s *Space) CountByClass() map[Class]int {
 	out := make(map[Class]int, numClasses)
@@ -96,14 +93,14 @@ func (s *Space) CountByClass() map[Class]int {
 }
 
 // Sample draws one realization of every source into dst (allocated if nil
-// or too short) and returns it. dst[i] ~ N(0, sigma_i), independent.
+// or too short) and returns it. dst[i] ~ N(0, 1), independent.
 func (s *Space) Sample(rng *rand.Rand, dst []float64) []float64 {
 	if cap(dst) < len(s.sources) {
 		dst = make([]float64, len(s.sources))
 	}
 	dst = dst[:len(s.sources)]
-	for i, src := range s.sources {
-		dst[i] = rng.NormFloat64() * src.Sigma
+	for i := range dst {
+		dst[i] = rng.NormFloat64()
 	}
 	return dst
 }

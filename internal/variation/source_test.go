@@ -10,9 +10,9 @@ import (
 
 func TestSpaceAddAndLookup(t *testing.T) {
 	s := NewSpace()
-	a := s.Add(ClassRandom, 1, "a")
-	b := s.Add(ClassSpatial, 2, "b")
-	c := s.Add(ClassInterDie, 3, "c")
+	a := s.Add(ClassRandom, "a")
+	b := s.Add(ClassSpatial, "b")
+	c := s.Add(ClassInterDie, "c")
 	if s.Len() != 3 {
 		t.Fatalf("Len = %d", s.Len())
 	}
@@ -20,25 +20,16 @@ func TestSpaceAddAndLookup(t *testing.T) {
 		t.Errorf("IDs not dense: %d %d %d", a, b, c)
 	}
 	src := s.Source(b)
-	if src.Class != ClassSpatial || src.Sigma != 2 || src.Label != "b" {
+	if src.ID != b || src.Class != ClassSpatial || src.Label != "b" {
 		t.Errorf("Source(b) = %+v", src)
 	}
-	if s.Sigma(c) != 3 {
-		t.Errorf("Sigma(c) = %g", s.Sigma(c))
+	if src := s.Source(c); src.ID != c || src.Class != ClassInterDie || src.Label != "c" {
+		t.Errorf("Source(c) = %+v", src)
 	}
 	counts := s.CountByClass()
 	if counts[ClassRandom] != 1 || counts[ClassSpatial] != 1 || counts[ClassInterDie] != 1 {
 		t.Errorf("counts = %v", counts)
 	}
-}
-
-func TestAddNegativeSigmaPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("negative sigma did not panic")
-		}
-	}()
-	NewSpace().Add(ClassRandom, -1, "bad")
 }
 
 func TestClassString(t *testing.T) {
@@ -54,8 +45,8 @@ func TestClassString(t *testing.T) {
 
 func TestSampleMoments(t *testing.T) {
 	s := NewSpace()
-	s.Add(ClassRandom, 1, "u")
-	s.Add(ClassRandom, 4, "w")
+	s.Add(ClassRandom, "u")
+	s.Add(ClassRandom, "w")
 	rng := rand.New(rand.NewSource(99))
 	const n = 100000
 	xs := make([]float64, 0, n)
@@ -64,7 +55,9 @@ func TestSampleMoments(t *testing.T) {
 	for i := 0; i < n; i++ {
 		buf = s.Sample(rng, buf)
 		xs = append(xs, buf[0])
-		ys = append(ys, buf[1])
+		// Sources are unit normal; a coefficient carries the scale, here
+		// a standard deviation of 4.
+		ys = append(ys, 4*buf[1])
 	}
 	m0, v0 := stats.MeanVar(xs)
 	m1, v1 := stats.MeanVar(ys)
@@ -75,7 +68,7 @@ func TestSampleMoments(t *testing.T) {
 		t.Errorf("sample var source 0 = %g, want 1", v0)
 	}
 	if math.Abs(v1-16) > 0.5 {
-		t.Errorf("sample var source 1 = %g, want 16", v1)
+		t.Errorf("sample var of 4·source 1 = %g, want 16", v1)
 	}
 	// Independence.
 	r, err := stats.Correlation(xs, ys)
@@ -89,8 +82,8 @@ func TestSampleMoments(t *testing.T) {
 
 func TestSampleReusesBuffer(t *testing.T) {
 	s := NewSpace()
-	s.Add(ClassRandom, 1, "a")
-	s.Add(ClassRandom, 1, "b")
+	s.Add(ClassRandom, "a")
+	s.Add(ClassRandom, "b")
 	rng := rand.New(rand.NewSource(1))
 	buf := make([]float64, 10)
 	out := s.Sample(rng, buf)
@@ -106,9 +99,11 @@ func TestFormSamplingMatchesAnalyticMoments(t *testing.T) {
 	// End-to-end: the analytic Var of a form equals the sample variance of
 	// its evaluations.
 	s := NewSpace()
-	a := s.Add(ClassRandom, 1, "a")
-	b := s.Add(ClassRandom, 2, "b")
-	f := NewForm(10, []Term{{a, 3}, {b, -1}})
+	a := s.Add(ClassRandom, "a")
+	b := s.Add(ClassRandom, "b")
+	// Var = 3² + 2² = 13; the coefficient -2 carries a source scale of 2
+	// on a unit-normal source.
+	f := NewForm(10, []Term{{a, 3}, {b, -2}})
 	rng := rand.New(rand.NewSource(5))
 	const n = 200000
 	vals := make([]float64, 0, n)

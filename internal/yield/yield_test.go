@@ -215,7 +215,7 @@ func TestYieldAtTarget(t *testing.T) {
 
 func TestNormalYieldAtTarget(t *testing.T) {
 	space := variation.NewSpace()
-	id := space.Add(variation.ClassRandom, 1, "x")
+	id := space.Add(variation.ClassRandom, "x")
 	rat := variation.NewForm(-100, []variation.Term{{ID: id, Coef: 10}})
 	// Target at the mean: 50%.
 	if got := NormalYieldAtTarget(rat, space, -100); math.Abs(got-0.5) > 1e-12 {

@@ -6,8 +6,13 @@
 #   scripts/bench.sh [-count N] [-benchtime T] [-out FILE]
 #
 # Defaults: -count 5, -benchtime 2x, -out BENCH_core.json (repo root).
+# -benchtime applies to the millisecond-scale insertion, serving and
+# Monte Carlo benchmarks; the microsecond-scale kernel and prune
+# benchmarks, where two iterations would be noise, run for 0.2 s each
+# (KBENCHTIME).
 # Each benchmark runs COUNT times and the snapshot records the per-metric
-# median, so one noisy run cannot skew the committed numbers. Tracked:
+# median, plus the min and max of ns/op so the spread is visible, and the
+# GOMAXPROCS the benchmarks ran with. Tracked:
 #   * canonical-form kernels   (internal/variation: AXPY[In], Min[In],
 #                               SigmaDiff merge walks)
 #   * frontier scans           (internal/core: Prune2P[Mean]/4P at
@@ -33,6 +38,7 @@ set -eu
 
 COUNT=5
 BENCHTIME=2x
+KBENCHTIME=0.2s
 OUT=BENCH_core.json
 while [ $# -gt 0 ]; do
   case "$1" in
@@ -47,16 +53,21 @@ cd "$(dirname "$0")/.."
 RAW=$(mktemp)
 trap 'rm -f "$RAW"' EXIT
 
-run() { # run <pkg> <bench-regex>
-  echo "== go test $1 -bench $2 (benchtime=$BENCHTIME count=$COUNT)" >&2
-  go test "$1" -run '^$' -bench "$2" -benchtime "$BENCHTIME" -count "$COUNT" \
+run() { # run <pkg> <bench-regex> <benchtime>
+  echo "== go test $1 -bench $2 (benchtime=$3 count=$COUNT)" >&2
+  go test "$1" -run '^$' -bench "$2" -benchtime "$3" -count "$COUNT" \
     | tee /dev/stderr | grep '^Benchmark' >>"$RAW" || true
 }
 
-run ./internal/variation/ 'AXPY|Min|SigmaDiff'
-run ./internal/core/ 'Prune|Insert'
-run ./internal/server/ 'ServeInsert'
-run . 'InsertWIDr[35](Serial|Par4)$|MCR3'
+run ./internal/variation/ 'AXPY|Min|SigmaDiff' "$KBENCHTIME"
+run ./internal/core/ 'Prune' "$KBENCHTIME"
+run ./internal/core/ 'Insert' "$BENCHTIME"
+run ./internal/server/ 'ServeInsert' "$BENCHTIME"
+run . 'InsertWIDr[35](Serial|Par4)$|MCR3' "$BENCHTIME"
+
+# The -N suffix go test appends to benchmark names is GOMAXPROCS (absent
+# when it is 1).
+PROCS=$(awk 'NR == 1 { n = split($1, p, "-"); print (n > 1 ? p[n] : 1) }' "$RAW")
 
 # Fold the `go test -bench` lines into a JSON array, one object per
 # benchmark with the median of each metric across the COUNT repetitions.
@@ -68,7 +79,9 @@ run . 'InsertWIDr[35](Serial|Par4)$|MCR3'
   printf '  "generated": "%s",\n' "$(date -u +%Y-%m-%dT%H:%M:%SZ)"
   printf '  "go": "%s",\n' "$(go env GOVERSION)"
   printf '  "cpus_online": %s,\n' "$(getconf _NPROCESSORS_ONLN)"
+  printf '  "gomaxprocs": %s,\n' "$PROCS"
   printf '  "benchtime": "%s",\n' "$BENCHTIME"
+  printf '  "kernel_benchtime": "%s",\n' "$KBENCHTIME"
   printf '  "count": %s,\n' "$COUNT"
   printf '  "note": "InsertLib32NOMr3 Serial vs SerialExact is the convex-hull buffering kernel speedup on a 32-cell library (~5.7x at the 2026-08 snapshot)",\n'
   if [ -f scripts/bench_baseline.json ]; then
@@ -79,9 +92,11 @@ run . 'InsertWIDr[35](Serial|Par4)$|MCR3'
   fi
   printf '  "results": [\n'
   awk '
-    # Full-precision number-to-string conversion: without this, mawk
-    # prints ns/op medians past 2^31 in scientific notation.
-    BEGIN { CONVFMT = "%.17g"; OFMT = "%.17g" }
+    # Number-to-string conversion with 15 significant digits: without
+    # it, mawk prints ns/op medians past 2^31 in scientific notation,
+    # and 17 digits would print a fractional ns/op such as 490.4 as
+    # 490.39999999999998.
+    BEGIN { CONVFMT = "%.15g"; OFMT = "%.15g" }
     /^Benchmark/ {
       name = $1; sub(/-[0-9]+$/, "", name)
       if (!(name in cnt)) { names[nn++] = name; iter[name] = $2 }
@@ -93,8 +108,9 @@ run . 'InsertWIDr[35](Serial|Par4)$|MCR3'
         if ($(i) == "samples") samples[name, k] = $(i-1)
       }
     }
-    # median of the values recorded for name (insertion sort; COUNT is tiny)
-    function median(arr, name, runs,   m, i, j, t, v) {
+    # order statistic of the values recorded for name: which is "min",
+    # "median" or "max" (insertion sort; COUNT is tiny)
+    function stat(which, arr, name, runs,   m, i, j, t, v) {
       m = 0
       for (i = 0; i < runs; i++) if ((name, i) in arr) v[m++] = arr[name, i] + 0
       if (m == 0) return ""
@@ -103,16 +119,20 @@ run . 'InsertWIDr[35](Serial|Par4)$|MCR3'
         for (j = i - 1; j >= 0 && v[j] > t; j--) v[j + 1] = v[j]
         v[j + 1] = t
       }
+      if (which == "min") return v[0]
+      if (which == "max") return v[m - 1]
       if (m % 2) return v[(m - 1) / 2]
       return (v[m / 2 - 1] + v[m / 2]) / 2
     }
+    function median(arr, name, runs) { return stat("median", arr, name, runs) }
     END {
       for (x = 0; x < nn; x++) {
         name = names[x]
         line = sprintf("    {\"name\": \"%s\", \"runs\": %d, \"iterations\": %s", \
                        name, cnt[name], iter[name])
         m = median(ns, name, cnt[name])
-        if (m != "") line = line sprintf(", \"ns_per_op\": %s", m)
+        if (m != "") line = line sprintf(", \"ns_per_op\": %s, \"ns_per_op_min\": %s, \"ns_per_op_max\": %s", \
+                                         m, stat("min", ns, name, cnt[name]), stat("max", ns, name, cnt[name]))
         m = median(bytes, name, cnt[name])
         if (m != "") line = line sprintf(", \"bytes_per_op\": %s", m)
         m = median(allocs, name, cnt[name])
